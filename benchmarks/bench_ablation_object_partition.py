@@ -14,7 +14,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.algorithms import Accu
-from repro.core import ObjectTDAC, TDAC
+from repro.core import ObjectTDAC, TDAC, TDACConfig
 from repro.data import DatasetBuilder
 from repro.datasets import load
 from repro.evaluation import format_table
@@ -69,7 +69,9 @@ def test_attribute_vs_object_partitioning(record_artifact, benchmark):
                 dataset, Accu().discover(dataset).predictions
             ).accuracy
             tdac = evaluate_predictions(
-                dataset, TDAC(Accu(), seed=0).run(dataset).predictions
+                dataset, TDAC(
+                    Accu(), config=TDACConfig(seed=0)
+                ).run(dataset).predictions
             ).accuracy
             tdoc = evaluate_predictions(
                 dataset,

@@ -192,14 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scale", type=float, default=0.05)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
-        "--refit",
-        choices=["full", "incremental"],
-        default="full",
-        help="both modes publish snapshots bit-identical to offline "
-        "TDAC.run; incremental absorbs each batch through the exact "
-        "delta path instead of refitting from scratch",
-    )
-    serve.add_argument(
         "--max-batch-size",
         type=int,
         default=64,
@@ -527,7 +519,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             tracer = SpanTracer()
         service_config = ServiceConfig(
-            refit=args.refit,
             max_batch_size=args.max_batch_size,
             max_wait_ms=args.max_wait_ms,
             queue_capacity=args.queue_capacity,
@@ -631,7 +622,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "command": "serve",
                     "algorithm": args.algorithm,
                     "dataset": args.dataset,
-                    "refit": args.refit,
                 },
             )
             print(f"trace: {path}", file=sys.stderr)

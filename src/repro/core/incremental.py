@@ -91,9 +91,6 @@ class IncrementalTDAC:
         Optional :class:`~repro.core.cache.PartitionCache` shared with
         the underlying :class:`TDAC`, so repeated full fits over the
         same accumulated dataset replay their partition.
-    tdac_kwargs:
-        Legacy per-knob spelling (``seed=``, ``distance=``, ...); folded
-        into a :class:`TDACConfig`.  Mutually exclusive with ``config``.
     """
 
     def __init__(
@@ -103,19 +100,11 @@ class IncrementalTDAC:
         warm_window: int = 1,
         config: TDACConfig | None = None,
         partition_cache: PartitionCache | None = None,
-        **tdac_kwargs,
     ) -> None:
         if not 0.0 < repartition_fraction <= 1.0:
             raise ValueError("repartition_fraction must be in (0, 1]")
         if warm_window < 0:
             raise ValueError("warm_window must be >= 0")
-        if tdac_kwargs and config is not None:
-            raise TypeError(
-                "pass knobs through config=TDACConfig(...) or as legacy "
-                "keywords, not both"
-            )
-        if tdac_kwargs:
-            config = TDACConfig(**tdac_kwargs)
         self.base = base
         self.repartition_fraction = repartition_fraction
         self.warm_window = warm_window
@@ -123,7 +112,6 @@ class IncrementalTDAC:
         self._dataset: Dataset | None = None
         self._partition: Partition | None = None
         self._block_results: dict[tuple, TruthDiscoveryResult] = {}
-        self._engine: ClaimIndexEngine | None = None
         self._last_outcome: TDACResult | None = None
         self._vector_store: TruthVectorStore | None = None
         self._prev_fits: dict | None = None
@@ -201,7 +189,6 @@ class IncrementalTDAC:
         self._n_claims_at_fit = dataset.n_claims
         self._claims_since_fit = 0
         self._n_full_fits += 1
-        self._pin_engine()
         return outcome
 
     def update(self, claims: Iterable[Claim]) -> TDACResult:
@@ -281,7 +268,7 @@ class IncrementalTDAC:
         # sweep certifies, with the warm probe watching for drift.
         force_all = new_source
         dirty = delta.selection_dirty or (
-            tdac.distance == "masked" and delta.mask_changed
+            tdac.config.distance == "masked" and delta.mask_changed
         )
         if not dirty and self._prev_silhouettes is not None:
             partition = self._partition
@@ -329,9 +316,9 @@ class IncrementalTDAC:
                     self.base,
                     new_dataset,
                     partition,
-                    n_jobs=tdac.n_jobs,
-                    backend=tdac.backend,
-                    policy=tdac.execution_policy,
+                    n_jobs=tdac.config.n_jobs,
+                    backend=tdac.config.backend,
+                    policy=tdac.config.execution_policy,
                     engine=engine,
                 )
             )
@@ -365,7 +352,6 @@ class IncrementalTDAC:
             truth_vectors=vectors,
         )
         self._dataset = new_dataset
-        self._engine = engine
         self._partition = partition
         self._block_results = dict(zip(partition.blocks, results))
         self._prev_fits = fits
@@ -392,19 +378,19 @@ class IncrementalTDAC:
     ) -> ClaimIndexEngine | None:
         """Delta-compile the claim engine for the extended dataset.
 
-        Registers the child in the shared registry, so a later full fit
-        over the same dataset object also rides the spliced compile.
-        Falls back to a cold shared compile when the previous engine
+        The child engine is cached on ``new_dataset``, so a later full
+        fit over the same dataset object also rides the spliced compile.
+        Falls back to a cold shared compile when the current engine
         cannot splice (and to ``None`` in reference-kernel mode).
         """
         if kernels.reference_enabled() or not self.base.supports_index:
             return None
-        if self._engine is not None:
-            try:
-                return self._engine.extended(new_dataset, fresh)
-            except ValueError:
-                pass
-        return ClaimIndexEngine.shared(new_dataset, dtype=self.config.dtype_np)
+        dtype = self.config.dtype_np
+        current = ClaimIndexEngine.shared(self._dataset, dtype=dtype)
+        try:
+            return current.extended(new_dataset, fresh)
+        except ValueError:
+            return ClaimIndexEngine.shared(new_dataset, dtype=dtype)
 
     def _warm_probe(self, vectors, distances: np.ndarray) -> Partition | None:
         """Partition predicted by warm-starting from the previous sweep.
@@ -442,23 +428,6 @@ class IncrementalTDAC:
         return TDAC.pick_partition(vectors.attributes, warm_fits, warm_sils)
 
     # ------------------------------------------------------------------
-
-    def _pin_engine(self) -> None:
-        """Hold a strong reference to the current dataset's claim engine.
-
-        The shared-engine registry is weak-keyed on the dataset, so
-        without a pin the compiled incidence structure would be garbage
-        collected between batches; pinning keeps it warm across
-        snapshots for as long as the dataset stays current.  The serving
-        layer's refits (both full and incremental mode) run through this
-        object, so they inherit the warm state automatically.
-        """
-        if kernels.reference_enabled() or not self.base.supports_index:
-            self._engine = None
-        else:
-            self._engine = ClaimIndexEngine.shared(
-                self._dataset, dtype=self.config.dtype_np
-            )
 
     def _require_fitted(self) -> None:
         if self._dataset is None:

@@ -21,7 +21,6 @@ parallel (the paper's second research perspective).
 from __future__ import annotations
 
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
@@ -38,11 +37,7 @@ from repro.clustering.distance import (
 from repro.clustering.kselect import score_silhouette_sweep
 from repro.clustering.sweep import sweep_kmeans
 from repro.core.cache import PartitionCache
-from repro.core.config import (
-    CONFIG_FIELD_NAMES,
-    DEFAULT_SPARSE_THRESHOLD,
-    TDACConfig,
-)
+from repro.core.config import TDACConfig
 from repro.core.parallel import run_blocks
 from repro.core.partition import Partition
 from repro.core.truth_vectors import TruthVectorMatrix, build_truth_vectors
@@ -50,7 +45,6 @@ from repro.algorithms import kernels
 from repro.data.claim_engine import ClaimIndexEngine
 from repro.data.dataset import Dataset
 from repro.data.types import Fact, SourceId, Value
-from repro.execution import ExecutionPolicy
 from repro.observability import current_tracer
 
 
@@ -118,12 +112,6 @@ class TDAC(TruthDiscoveryAlgorithm):
         config fingerprint; a hit skips the distance matrix, the
         ``(k, init)`` sweep and the silhouette scoring while staying
         bit-identical (selection is deterministic in that key).
-    **legacy_knobs:
-        The pre-1.1 per-knob keyword arguments (``distance=``,
-        ``seed=``, ``n_jobs=``, ...).  Deprecated: they emit a single
-        :class:`DeprecationWarning` and are folded into an equivalent
-        :class:`TDACConfig`, so results are bit-identical to the
-        ``config=`` spelling.  Mutually exclusive with ``config``.
     """
 
     def __init__(
@@ -132,74 +120,11 @@ class TDAC(TruthDiscoveryAlgorithm):
         reference: TruthDiscoveryAlgorithm | None = None,
         config: TDACConfig | None = None,
         partition_cache: PartitionCache | None = None,
-        **legacy_knobs,
     ) -> None:
-        unknown = set(legacy_knobs) - set(CONFIG_FIELD_NAMES)
-        if unknown:
-            raise TypeError(
-                f"TDAC() got unexpected keyword arguments {sorted(unknown)}"
-            )
-        if legacy_knobs:
-            if config is not None:
-                raise TypeError(
-                    "pass knobs through config=TDACConfig(...) or as legacy "
-                    "keywords, not both"
-                )
-            warnings.warn(
-                "per-knob TDAC keyword arguments "
-                f"({', '.join(sorted(legacy_knobs))}) are deprecated; pass "
-                "config=TDACConfig(...) instead (results are identical)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = TDACConfig(**legacy_knobs)
         self.config = config if config is not None else TDACConfig()
         self.base = base
         self.reference_algorithm = reference if reference is not None else base
         self.partition_cache = partition_cache
-
-    # Read-only per-knob views, kept so call sites (and the method bodies
-    # below) written against the pre-config API keep working unchanged.
-
-    @property
-    def distance(self) -> str:
-        return self.config.distance
-
-    @property
-    def k_min(self) -> int:
-        return self.config.k_min
-
-    @property
-    def k_max(self) -> int | None:
-        return self.config.k_max
-
-    @property
-    def n_init(self) -> int:
-        return self.config.n_init
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
-
-    @property
-    def n_jobs(self) -> int:
-        return self.config.n_jobs
-
-    @property
-    def backend(self) -> str:
-        return self.config.backend
-
-    @property
-    def sparse(self) -> bool | str:
-        return self.config.sparse
-
-    @property
-    def sparse_threshold(self) -> int:
-        return self.config.sparse_threshold
-
-    @property
-    def execution_policy(self) -> ExecutionPolicy | None:
-        return self.config.execution_policy
 
     #: TDAC's discover() runs the full pipeline over a raw Dataset; it
     #: cannot consume a pre-sliced DatasetIndex view.
@@ -247,9 +172,9 @@ class TDAC(TruthDiscoveryAlgorithm):
             self.base,
             dataset,
             partition,
-            n_jobs=self.n_jobs,
-            backend=self.backend,
-            policy=self.execution_policy,
+            n_jobs=self.config.n_jobs,
+            backend=self.config.backend,
+            policy=self.config.execution_policy,
             engine=engine,
         )
         with tracer.span("merge"):
@@ -278,9 +203,9 @@ class TDAC(TruthDiscoveryAlgorithm):
             self.base,
             dataset,
             partition,
-            n_jobs=self.n_jobs,
-            backend=self.backend,
-            policy=self.execution_policy,
+            n_jobs=self.config.n_jobs,
+            backend=self.config.backend,
+            policy=self.config.execution_policy,
             engine=self._claim_engine(dataset),
         )
         with current_tracer().span("merge"):
@@ -364,23 +289,24 @@ class TDAC(TruthDiscoveryAlgorithm):
         ``distances`` optionally reuses an already-computed pairwise
         distance matrix (it depends only on ``vectors``).
         """
+        config = self.config
         n_attributes = vectors.n_attributes
-        upper = n_attributes - 1 if self.k_max is None else min(
-            self.k_max, n_attributes - 1
+        upper = n_attributes - 1 if config.k_max is None else min(
+            config.k_max, n_attributes - 1
         )
-        if upper < self.k_min:
+        if upper < config.k_min:
             return Partition.whole(vectors.attributes), {}, {}
         data = vectors.matrix.astype(float)
         if distances is None:
             distances = self.pairwise_distances(vectors)
         fits = sweep_kmeans(
             data,
-            range(self.k_min, upper + 1),
-            n_init=self.n_init,
-            seed=self.seed,
-            n_jobs=self.n_jobs,
-            backend=self.backend,
-            policy=self.execution_policy,
+            range(config.k_min, upper + 1),
+            n_init=config.n_init,
+            seed=config.seed,
+            n_jobs=config.n_jobs,
+            backend=config.backend,
+            policy=config.execution_policy,
         )
         silhouettes = score_silhouette_sweep(distances, fits, average="macro")
         partition = self.pick_partition(
@@ -425,25 +351,26 @@ class TDAC(TruthDiscoveryAlgorithm):
         """
         with current_tracer().span(
             "distance_matrix",
-            mode=self.distance,
+            mode=self.config.distance,
             sparse=self.use_sparse(vectors),
         ):
             if self.use_sparse(vectors):
-                if self.distance == "masked":
+                if self.config.distance == "masked":
                     return pairwise_masked_hamming_sparse(
                         vectors.matrix_csr(), vectors.mask_csr()
                     )
                 return pairwise_hamming_sparse(vectors.matrix_csr())
             data = vectors.matrix.astype(float)
-            if self.distance == "masked":
+            if self.config.distance == "masked":
                 return pairwise_masked_hamming(data, vectors.mask)
             return pairwise_hamming(data)
 
     def use_sparse(self, vectors: TruthVectorMatrix) -> bool:
         """Whether the sparse distance path applies to ``vectors``."""
-        if self.sparse == "auto":
-            return vectors.matrix.size >= self.sparse_threshold
-        return bool(self.sparse)
+        sparse = self.config.sparse
+        if sparse == "auto":
+            return vectors.matrix.size >= self.config.sparse_threshold
+        return bool(sparse)
 
     def _merge(
         self,

@@ -27,10 +27,10 @@ costing a few fancy-indexing passes instead of a dict rebuild plus a
 Python compile loop.  ``tests/test_vectorized_engine.py`` pins this
 equivalence.
 
-:meth:`ClaimIndexEngine.shared` memoises engines per dataset in a weak
-dictionary, so the reference pass, the block runs, repeated partition
-sweeps and the serving refit path all reuse one structure for as long as
-the dataset object is alive.
+:meth:`ClaimIndexEngine.shared` caches engines on the dataset instance
+itself, so the reference pass, the block runs, repeated partition sweeps
+and the serving refit path all reuse one structure for as long as the
+dataset object is alive, and the structure is freed with it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import threading
 from functools import cached_property
 from itertools import compress
 from typing import Hashable, Iterable, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -53,8 +52,8 @@ from repro.data.types import ATTRIBUTE_TYPES, Claim, DataError, Fact
 #: canonical fact order (object-major, then attribute order).
 _KEY_SHIFT = 32
 
-_SHARED_LOCK = threading.Lock()
-_SHARED: "WeakKeyDictionary[Dataset, dict]" = WeakKeyDictionary()
+#: Guards every dataset's engine cache (``Dataset._claim_engines``).
+_ENGINES_LOCK = threading.Lock()
 
 #: Per-engine cap on memoised block views.  Partition sweeps can probe
 #: many candidate blocks; the cap bounds memory while keeping every block
@@ -77,21 +76,18 @@ class ClaimIndexEngine:
     def shared(cls, dataset: Dataset, dtype=np.float64) -> "ClaimIndexEngine":
         """The process-wide engine of ``dataset`` (created on first use).
 
-        Engines are keyed weakly by dataset object and by dtype, so a
+        Engines are cached per dtype on the dataset object, so a
         dataset's compiled structure is shared across the reference pass,
-        block runs and serving refreshes without pinning the dataset in
-        memory after its last strong reference drops.
+        block runs and serving refreshes, and is garbage collected
+        together with the dataset once its last outside reference drops.
         """
         resolved = _validate_dtype(dtype)
-        with _SHARED_LOCK:
-            per_dataset = _SHARED.get(dataset)
-            if per_dataset is None:
-                per_dataset = {}
-                _SHARED[dataset] = per_dataset
-            engine = per_dataset.get(resolved.name)
+        with _ENGINES_LOCK:
+            engines = dataset._claim_engines
+            engine = engines.get(resolved.name)
             if engine is None:
                 engine = cls(dataset, dtype=resolved)
-                per_dataset[resolved.name] = engine
+                engines[resolved.name] = engine
         return engine
 
     @property
@@ -232,10 +228,9 @@ class ClaimIndexEngine:
         segments are bulk-copied — so the result is byte-identical to
         ``DatasetIndex(dataset)`` (``tests/test_incremental_exact.py``
         pins this) at O(batch + corpus memcpy) instead of a full Python
-        compile loop.  The child engine is registered in the shared
-        per-dataset registry, so any later ``ClaimIndexEngine.shared(
-        dataset)`` — e.g. a full refit over the extended corpus — reuses
-        the spliced compile.
+        compile loop.  The child engine is cached on ``dataset``, so any
+        later ``ClaimIndexEngine.shared(dataset)`` — e.g. a full refit
+        over the extended corpus — reuses the spliced compile.
 
         Raises :class:`ValueError` when ``dataset`` is not an append-only
         extension (callers fall back to a cold compile).
@@ -442,12 +437,8 @@ class ClaimIndexEngine:
         child._fact_claim_start = fact_claim_start
         child._facts_obj = facts_obj
         child._slot_values_obj = slot_values_obj
-        with _SHARED_LOCK:
-            per_dataset = _SHARED.get(dataset)
-            if per_dataset is None:
-                per_dataset = {}
-                _SHARED[dataset] = per_dataset
-            per_dataset.setdefault(self._dtype.name, child)
+        with _ENGINES_LOCK:
+            dataset._claim_engines.setdefault(self._dtype.name, child)
         return child
 
     # ------------------------------------------------------------------

@@ -135,6 +135,23 @@ class Dataset:
     def __len__(self) -> int:
         return len(self._claims)
 
+    @cached_property
+    def _claim_engines(self) -> dict:
+        """Per-dtype claim-index engines compiled from this dataset.
+
+        Filled by :meth:`repro.data.claim_engine.ClaimIndexEngine.shared`
+        under its lock.  Living on the instance ties each engine's
+        lifetime to its dataset's.
+        """
+        return {}
+
+    def __getstate__(self) -> dict:
+        # Engines are process-local (they hold locks); an unpickled copy
+        # compiles its own on first use.
+        state = dict(self.__dict__)
+        state.pop("_claim_engines", None)
+        return state
+
     # ------------------------------------------------------------------
     # Attribute types
     # ------------------------------------------------------------------

@@ -10,9 +10,10 @@ provides it:
   ``serve.*`` span/counter/gauge instrumentation;
 * :class:`~repro.serving.snapshot.TruthSnapshot` — immutable,
   monotonically versioned read views with a claims-seen watermark and
-  staleness metadata, each (in the default full-refit mode)
-  bit-identical to an offline ``TDAC.run`` over the claims at its
-  watermark;
+  staleness metadata, each bit-identical to an offline ``TDAC.run``
+  over the claims at its watermark (every batch is absorbed through the
+  exact delta path of :meth:`IncrementalTDAC.update
+  <repro.core.incremental.IncrementalTDAC.update>`);
 * :class:`~repro.core.cache.PartitionCache` (re-exported) — the shared
   LRU that lets repeated cold starts replay selected partitions;
 * :mod:`~repro.serving.frontend` — the JSON-lines driver behind the
@@ -22,8 +23,7 @@ provides it:
   multiplexed connections, per-connection backpressure, graceful
   drain) and the matching reconnect/backoff/retry-after client;
 * :class:`~repro.serving.config.ServiceConfig` — one frozen,
-  fingerprintable config object holding every serving knob (the old
-  per-knob keywords survive behind a deprecation shim);
+  fingerprintable config object holding every serving knob;
 * :mod:`~repro.serving.schema` — the versioned ``tdac-serve/v1`` wire
   envelope every front-end response carries, with
   :class:`ServeEnvelope` / :func:`serve_envelope_from_dict` as the
@@ -61,7 +61,6 @@ from repro.serving.schema import (
 from repro.serving.service import (
     IngestTicket,
     QueryAnswer,
-    REFIT_MODES,
     ServiceOverloadedError,
     ServiceStoppedError,
     TruthService,
@@ -81,7 +80,6 @@ __all__ = [
     "MergedSnapshot",
     "PartitionCache",
     "QueryAnswer",
-    "REFIT_MODES",
     "RetryPolicy",
     "SERVE_SCHEMA",
     "ServeEnvelope",

@@ -6,17 +6,14 @@ immutable, validated, fingerprintable value holding every serving knob
 that used to sprawl across the :class:`~repro.serving.service.TruthService`,
 :class:`~repro.serving.net.TruthServer` and
 :func:`~repro.serving.net.serve_network` constructors — batch sizing,
-queue bounds, refit modes, checkpoint cadence, and the network framing /
-timeout / backpressure limits.
+queue bounds, checkpoint cadence, and the network framing / timeout /
+backpressure limits.
 
-``TruthService(..., service_config=ServiceConfig(...))`` is the primary
-spelling; the old per-knob keyword arguments keep working through a
-deprecation shim that folds them into the equivalent config (one
-:class:`DeprecationWarning` per construction — see CHANGELOG 1.5.0 for
-the removal window).  None of these knobs affects *what* a snapshot
-contains — every refit mode is bit-identical to offline ``TDAC.run`` —
-so the :meth:`fingerprint` is an operational identity (used by the
-tenant registry and the admin surface), not a result key.
+``TruthService(..., service_config=ServiceConfig(...))`` is the only
+spelling.  None of these knobs affects *what* a snapshot contains —
+every refit is bit-identical to offline ``TDAC.run`` — so the
+:meth:`fingerprint` is an operational identity (used by the tenant
+registry and the admin surface), not a result key.
 """
 
 from __future__ import annotations
@@ -25,11 +22,6 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-
-#: Refit strategies: both are bit-identical to offline ``TDAC.run``;
-#: ``"full"`` recomputes every stage per batch, ``"incremental"``
-#: reuses whatever the batch provably could not have changed.
-REFIT_MODES = ("full", "incremental")
 
 #: Default per-line framing bound (1 MiB of JSON is already a huge batch).
 DEFAULT_MAX_LINE_BYTES = 1 << 20
@@ -41,14 +33,6 @@ class ServiceConfig:
 
     Service-side (micro-batching / admission / durability):
 
-    refit:
-        ``"full"`` (default) re-runs the whole pipeline per batch;
-        ``"incremental"`` applies the exact delta path of
-        :meth:`IncrementalTDAC.update`.  Snapshots are bit-identical to
-        offline ``TDAC.run`` either way.
-    replay_refit:
-        Refit mode used while :meth:`TruthService.restore` replays the
-        WAL tail; defaults to ``"incremental"``.
     repartition_fraction:
         Forwarded to :class:`~repro.core.incremental.IncrementalTDAC`.
     warm_window:
@@ -83,8 +67,6 @@ class ServiceConfig:
         space; ``0`` disables automatic rebalancing.
     """
 
-    refit: str = "full"
-    replay_refit: str = "incremental"
     repartition_fraction: float = 0.2
     warm_window: int = 1
     max_batch_size: int = 64
@@ -101,15 +83,6 @@ class ServiceConfig:
     rebalance_threshold: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.refit not in REFIT_MODES:
-            raise ValueError(
-                f"refit must be one of {REFIT_MODES}, got {self.refit!r}"
-            )
-        if self.replay_refit not in REFIT_MODES:
-            raise ValueError(
-                f"replay_refit must be one of {REFIT_MODES}, "
-                f"got {self.replay_refit!r}"
-            )
         if not 0.0 < self.repartition_fraction <= 1.0:
             raise ValueError("repartition_fraction must be in (0, 1]")
         if self.warm_window < 0:
@@ -167,14 +140,6 @@ class ServiceConfig:
         return out
 
 
-#: Field names of :class:`ServiceConfig` (the deprecated per-knob shim
-#: of :class:`TruthService` / :class:`TruthServer` accepts exactly the
-#: subset each constructor historically took).
-SERVICE_CONFIG_FIELD_NAMES = tuple(
-    f.name for f in dataclasses.fields(ServiceConfig)
-)
-
-
 def service_config_from_dict(payload: dict) -> ServiceConfig:
     """Rebuild a :class:`ServiceConfig` from its :meth:`~ServiceConfig.to_dict`.
 
@@ -190,41 +155,3 @@ def service_config_from_dict(payload: dict) -> ServiceConfig:
             f"its knobs (recomputed {config.fingerprint()})"
         )
     return config
-
-
-def fold_legacy_kwargs(
-    owner: str,
-    service_config: ServiceConfig | None,
-    legacy: dict,
-    allowed: tuple[str, ...],
-) -> ServiceConfig:
-    """Shared deprecation shim: fold per-knob kwargs into a config.
-
-    ``legacy`` keys outside ``allowed`` raise :class:`TypeError` (typo
-    protection, matching normal keyword behaviour); a non-empty
-    ``legacy`` alongside an explicit ``service_config`` also raises.
-    Warns once per construction, like the :class:`TDACConfig` shim.
-    """
-    import warnings
-
-    unknown = set(legacy) - set(allowed)
-    if unknown:
-        raise TypeError(
-            f"{owner}() got unexpected keyword arguments "
-            f"{sorted(unknown)!r}"
-        )
-    if not legacy:
-        return service_config if service_config is not None else ServiceConfig()
-    if service_config is not None:
-        raise TypeError(
-            f"pass knobs through service_config=ServiceConfig(...) or as "
-            f"legacy keywords, not both ({owner})"
-        )
-    warnings.warn(
-        f"passing {sorted(legacy)!r} to {owner}() is deprecated; use "
-        "service_config=ServiceConfig(...) (removal per CHANGELOG 1.5.0 "
-        "deprecation window)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ServiceConfig(**legacy)

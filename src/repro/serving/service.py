@@ -17,23 +17,21 @@ pipeline into a serving engine:
   immutable :class:`~repro.serving.snapshot.TruthSnapshot` with a
   strictly monotone version and a claims-seen watermark; reads are a
   single reference load, wait-free and never blocked by writers.
-* **Bit-identical refits** — every published snapshot is bit-identical
-  to an offline :meth:`TDAC.run <repro.core.tdac.TDAC.run>` over the
-  claims at its watermark, in *both* refit modes.  ``refit="full"``
-  (default) re-runs the whole pipeline per batch;
-  ``refit="incremental"`` reaches the same result at delta cost through
-  :meth:`IncrementalTDAC.update` — spliced index compile, patched
-  truth-vector matrix, certified partition reuse and touched-block-only
-  base runs — so its snapshots are also ``exact=True`` with a populated
-  ``silhouette_by_k``.  Restores replay the WAL tail through the same
-  delta path by default (``replay_refit``), cutting restart downtime.
+* **Bit-identical refits** — every batch is absorbed by
+  :meth:`IncrementalTDAC.update <repro.core.incremental.IncrementalTDAC.update>`
+  (spliced index compile, patched truth-vector matrix, certified
+  partition reuse, touched-block-only base runs), and every published
+  snapshot is bit-identical to an offline
+  :meth:`TDAC.run <repro.core.tdac.TDAC.run>` over the claims at its
+  watermark: ``exact=True`` with a populated ``silhouette_by_k``.
+  Restores replay the WAL tail through the same path.
 * **Partition reuse** — an optional shared
   :class:`~repro.core.cache.PartitionCache` lets repeated cold starts
-  (and full refits over an unchanged corpus) replay the selected
-  partition instead of re-running the sweep.
+  (and staleness-triggered full fits over an unchanged corpus) replay
+  the selected partition instead of re-running the sweep.
 * **Observability** — refits and batches run under the service's
   :class:`~repro.observability.SpanTracer` (``serve.start``,
-  ``serve.batch``, ``serve.refit`` spans; ingest/batch/refit counters;
+  ``serve.batch``, ``serve.refit`` spans; ingest/batch counters;
   queue-depth and batch-occupancy gauges), and worker failures inside a
   refit propagate to the affected tickets without taking the service
   down.
@@ -56,26 +54,9 @@ from repro.core.incremental import IncrementalTDAC, extend_dataset
 from repro.data.dataset import Dataset
 from repro.data.types import AttributeId, Claim, ObjectId, Value
 from repro.observability import SpanTracer, activate, current_tracer
-from repro.serving.config import (
-    REFIT_MODES,
-    ServiceConfig,
-    fold_legacy_kwargs,
-)
+from repro.serving.config import ServiceConfig
 from repro.serving.snapshot import TruthSnapshot
 from repro.store import StoreError, TruthStore, WALCorruptionWarning, open_store
-
-#: The per-knob keywords :class:`TruthService` historically accepted;
-#: still honoured through the :class:`ServiceConfig` deprecation shim.
-SERVICE_LEGACY_KWARGS = (
-    "refit",
-    "replay_refit",
-    "repartition_fraction",
-    "warm_window",
-    "max_batch_size",
-    "max_wait_ms",
-    "queue_capacity",
-    "snapshot_every",
-)
 
 
 class ServiceOverloadedError(RuntimeError):
@@ -203,12 +184,8 @@ class TruthService:
         cache and stamps every snapshot.
     service_config:
         :class:`~repro.serving.config.ServiceConfig` holding every
-        serving knob — refit modes, micro-batch sizing, queue bounds,
-        checkpoint cadence (``None`` means defaults).  The old per-knob
-        keywords (``refit=``, ``max_batch_size=``, ...) still work
-        through a :class:`DeprecationWarning` shim that folds them into
-        the equivalent config; see CHANGELOG 1.5.0 for the removal
-        window.
+        serving knob — staleness policy, micro-batch sizing, queue
+        bounds, checkpoint cadence (``None`` means defaults).
     partition_cache:
         Optional shared :class:`~repro.core.cache.PartitionCache`.
     tracer:
@@ -235,11 +212,9 @@ class TruthService:
         partition_cache: PartitionCache | None = None,
         tracer: SpanTracer | None = None,
         store: TruthStore | str | Path | None = None,
-        **legacy,
     ) -> None:
-        service_config = fold_legacy_kwargs(
-            "TruthService", service_config, legacy, SERVICE_LEGACY_KWARGS
-        )
+        if service_config is None:
+            service_config = ServiceConfig()
         self.service_config = service_config
         self.partition_cache = partition_cache
         self.store = None if store is None else open_store(store)
@@ -281,8 +256,6 @@ class TruthService:
             "batches": 0,
             "batch_errors": 0,
             "applied_claims": 0,
-            "refits_full": 0,
-            "refits_incremental": 0,
             "queue_depth_peak": 0,
         }
 
@@ -297,14 +270,6 @@ class TruthService:
 
     # Per-knob views over ``service_config`` — existing callers (and the
     # network layer) read these as plain attributes.
-    @property
-    def refit(self) -> str:
-        return self.service_config.refit
-
-    @property
-    def replay_refit(self) -> str:
-        return self.service_config.replay_refit
-
     @property
     def max_batch_size(self) -> int:
         return self.service_config.max_batch_size
@@ -436,7 +401,6 @@ class TruthService:
         service_config: ServiceConfig | None = None,
         partition_cache: PartitionCache | None = None,
         tracer: SpanTracer | None = None,
-        **service_kwargs,
     ) -> "TruthService":
         """Resume a service from a store directory after a crash or stop.
 
@@ -446,10 +410,10 @@ class TruthService:
         record made it to disk stay rejected) — and returns a running
         service whose published snapshot is bit-identical to an
         uninterrupted run over the same claim prefix.  The tail replays
-        under ``replay_refit`` (default ``"incremental"``): one full fit
-        on the checkpointed dataset, then exact delta refits per batch,
-        instead of a full ``TDAC.run`` per replayed batch.  Finishes by
-        cutting a fresh checkpoint so the next restore replays nothing.
+        through the serving path itself: one full fit on the
+        checkpointed dataset, then exact delta refits per batch.
+        Finishes by cutting a fresh checkpoint so the next restore
+        replays nothing.
 
         ``base`` and ``config`` default to what the checkpoint recorded
         (the base algorithm is resolved through the
@@ -482,7 +446,6 @@ class TruthService:
             partition_cache=partition_cache,
             tracer=tracer,
             store=store,
-            **service_kwargs,
         )
         if partition_cache is not None:
             # Warm-start the sweep before the initial fit runs.
@@ -798,39 +761,18 @@ class TruthService:
                         self.checkpoint()
 
     def _apply(self, claims: list[Claim]) -> TruthSnapshot:
-        """Refit on ``claims`` and publish the covering snapshot.
+        """Absorb ``claims`` through the delta path; publish the snapshot.
 
-        Both refit modes publish ``exact=True`` snapshots: the delta
-        path is bit-identical to the full pipeline by construction (see
-        :mod:`repro.core.incremental`).  During a :meth:`restore`, the
-        WAL tail replays under ``replay_refit`` regardless of the
-        steady-state ``refit`` mode.
+        :meth:`IncrementalTDAC.update` is bit-identical to the full
+        pipeline by construction (see :mod:`repro.core.incremental`), so
+        every snapshot is ``exact=True``.  It validates the batch before
+        touching any state, so a conflicting batch is rejected without a
+        published trace.
         """
-        tracer = current_tracer()
         previous = self._snapshot
         assert previous is not None
-        mode = self.replay_refit if self._resuming else self.refit
-        if mode == "full":
-            # Extend on a local first: a conflicting batch raises here
-            # and leaves the engine (and the published state) untouched.
-            dataset = extend_dataset(self._incremental.dataset, claims)
-            with tracer.span("serve.refit", mode="full", claims=len(claims)):
-                outcome = self._incremental.fit(dataset)
-            tracer.count("serve.refit.full")
-            self._stats["refits_full"] += 1
-        else:
-            # update() validates the batch before touching any state, so
-            # a conflicting batch is rejected without a published trace.
-            with tracer.span(
-                "serve.refit", mode="incremental", claims=len(claims)
-            ):
-                outcome = self._incremental.update(claims)
-            tracer.count("serve.refit.incremental")
-            self._stats["refits_incremental"] += 1
-        result = outcome.result
-        partition = outcome.partition
-        silhouettes = dict(outcome.silhouette_by_k)
-        exact = True
+        with current_tracer().span("serve.refit", claims=len(claims)):
+            outcome = self._incremental.update(claims)
         # Publish under the lock: the applied log, the watermark and the
         # visible snapshot advance as one atomic step, so a concurrent
         # stats() read cannot pair a new watermark with the old version
@@ -840,10 +782,10 @@ class TruthService:
             snapshot = TruthSnapshot(
                 version=previous.version + 1,
                 watermark=self._watermark_base + len(self._applied),
-                result=result,
-                partition=partition,
-                silhouette_by_k=silhouettes,
-                exact=exact,
+                result=outcome.result,
+                partition=outcome.partition,
+                silhouette_by_k=dict(outcome.silhouette_by_k),
+                exact=True,
                 pending_claims=self._pending_claims,
                 dataset_fingerprint=self._incremental.dataset.fingerprint,
                 config_fingerprint=self._config.fingerprint(),

@@ -12,8 +12,8 @@ readers are wait-free and always see an internally consistent
 * staleness metadata: how many claims were still queued when the
   snapshot was published, whether the refit carried ``exact``
   (:meth:`TDAC.run <repro.core.tdac.TDAC.run>`-bit-identical) semantics
-  — true for both the full and the delta refit path since 1.4.0; the
-  flag is kept for historical snapshots — and the fingerprints
+  — true for every refit since 1.4.0; the flag is kept for historical
+  snapshots — and the fingerprints
   identifying the accumulated dataset and config.
 
 ``to_dict`` emits the shared ``tdac-result/v1`` schema with a

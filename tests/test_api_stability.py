@@ -1,12 +1,11 @@
-"""API-stability guarantees for the ``repro`` 1.x public surface.
+"""API-stability guarantees for the ``repro`` 2.x public surface.
 
 Two contracts are pinned here:
 
 * every symbol in ``repro.__all__`` imports from ``repro`` directly and
   stays importable from its documented home module;
-* the deprecated per-knob ``TDAC(...)`` keyword constructor warns
-  exactly once per construction and remains bit-identical to the
-  ``config=TDACConfig(...)`` path it is a shim for.
+* ``config=TDACConfig(...)`` is the only way to set TD-AC knobs: it
+  never warns, and the per-knob keywords removed in 2.0.0 are rejected.
 """
 
 import dataclasses
@@ -61,7 +60,7 @@ class TestPublicSurface:
         from repro import TruthService, TruthSnapshot  # noqa: F401
 
     def test_version_matches_package_metadata(self):
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_store_symbols_are_top_level(self):
         from repro import TruthStore, store  # noqa: F401
@@ -92,11 +91,7 @@ class TestTDACConfig:
 
 
 class TestLegacyKwargShim:
-    def test_warns_exactly_once_per_construction(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            TDAC(MajorityVote(), seed=7, k_min=2)
-        assert len(caught) == 1
-        assert "TDACConfig" in str(caught[0].message)
+    """Only ``config=TDACConfig(...)`` sets TD-AC knobs."""
 
     def test_config_path_does_not_warn(self):
         with warnings.catch_warnings():
@@ -107,31 +102,20 @@ class TestLegacyKwargShim:
         with pytest.raises(TypeError):
             TDAC(MajorityVote(), wat=1)
 
+    def test_per_knob_keywords_and_views_removed(self):
+        with pytest.raises(TypeError):
+            TDAC(MajorityVote(), seed=7)
+        with pytest.raises(TypeError):
+            IncrementalTDAC(MajorityVote(), seed=7)
+        tdac = TDAC(MajorityVote(), config=TDACConfig(seed=7))
+        assert not hasattr(tdac, "seed")
+        assert tdac.config.seed == 7
+
     def test_kwargs_and_config_are_mutually_exclusive(self):
         with pytest.raises(TypeError):
             TDAC(MajorityVote(), config=TDACConfig(), seed=1)
         with pytest.raises(TypeError):
             IncrementalTDAC(MajorityVote(), config=TDACConfig(), seed=1)
-
-    def test_legacy_kwargs_bit_identical_to_config(self, dataset):
-        with pytest.warns(DeprecationWarning):
-            legacy = TDAC(MajorityVote(), seed=5, n_init=4).run(dataset)
-        modern = TDAC(
-            MajorityVote(), config=TDACConfig(seed=5, n_init=4)
-        ).run(dataset)
-        assert dict(legacy.result.predictions) == dict(
-            modern.result.predictions
-        )
-        assert dict(legacy.result.source_trust) == dict(
-            modern.result.source_trust
-        )
-        assert legacy.partition == modern.partition
-        assert legacy.silhouette_by_k == modern.silhouette_by_k
-
-    def test_shim_folds_into_config(self):
-        with pytest.warns(DeprecationWarning):
-            tdac = TDAC(MajorityVote(), seed=9, n_jobs=2)
-        assert tdac.config == TDACConfig(seed=9, n_jobs=2)
 
 
 class TestResultSchema:

@@ -321,6 +321,7 @@ class TestStreamBitIdentity:
 
 class TestRestoreDeltaReplay:
     def run_service(self, store_dir, dataset, batches):
+        """Serve ``batches``, crash, and return the last live snapshot."""
         from repro.serving import TruthService
 
         service = TruthService(
@@ -333,10 +334,11 @@ class TestRestoreDeltaReplay:
         service.start()
         for batch in batches:
             service.ingest(batch, wait=True)
+        live = service.snapshot()
         service.stop(checkpoint=False)  # crash-shaped store: tail unfolded
+        return live
 
     def test_delta_replay_matches_full_refit_replay(self, tmp_path, dataset=None):
-        from repro.observability import SpanTracer
         from repro.serving import TruthService
 
         dataset = make_synthetic("DS1", n_objects=15, seed=31).dataset
@@ -345,34 +347,26 @@ class TestRestoreDeltaReplay:
              for i in range(3)]
             for j in range(3)
         ]
-        for sub in ("delta", "full"):
-            self.run_service(tmp_path / sub, dataset, batches)
-        tracer = SpanTracer()
+        live = self.run_service(tmp_path / "delta", dataset, batches)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no WAL mismatch warnings
-            via_delta = TruthService.restore(tmp_path / "delta", tracer=tracer)
-            via_full = TruthService.restore(
-                tmp_path / "full",
-                service_config=ServiceConfig(replay_refit="full"),
-            )
+            via_delta = TruthService.restore(tmp_path / "delta")
         try:
-            a, b = via_delta.snapshot(), via_full.snapshot()
-            assert a.version == b.version
-            assert a.watermark == b.watermark
-            assert a.dataset_fingerprint == b.dataset_fingerprint
-            assert dict(a.predictions) == dict(b.predictions)
-            assert dict(a.source_trust) == dict(b.source_trust)
-            assert a.partition == b.partition
-            assert dict(a.silhouette_by_k) == dict(b.silhouette_by_k)
-            assert a.exact and b.exact
-            # The default replay actually rode the delta path.
-            assert tracer.counters["serve.refit.incremental"] == len(batches)
-            # And both match the offline pipeline at the watermark.
-            offline = TDAC(MajorityVote(), config=CONFIG).run(
-                via_delta.replay_dataset(a.watermark)
-            )
+            a = via_delta.snapshot()
+            # The full-refit reference: offline TDAC.run at the watermark.
+            replayed = via_delta.replay_dataset(a.watermark)
+            offline = TDAC(MajorityVote(), config=CONFIG).run(replayed)
+            assert a.version == live.version
+            assert a.watermark == live.watermark
+            assert a.dataset_fingerprint == replayed.fingerprint
             assert dict(a.predictions) == dict(offline.result.predictions)
+            assert dict(a.source_trust) == dict(offline.result.source_trust)
             assert a.partition == offline.partition
+            assert dict(a.silhouette_by_k) == dict(offline.silhouette_by_k)
+            assert a.exact
+            # The replay actually rode the delta path.
+            engine = via_delta.stats["engine"]
+            assert engine["delta_updates"] == len(batches)
+            assert engine["full_fits"] == 1
         finally:
             via_delta.stop()
-            via_full.stop()

@@ -2,7 +2,7 @@
 
 The tentpole promise: a typed dataset flows through every execution
 surface — offline ``TDAC.run``, the incremental delta path, the serving
-engine (``refit="incremental"``), and WAL restore — and each of them
+engine (which refits through that path), and WAL restore — and each of them
 publishes results bit-identical to the offline reference over the same
 accumulated corpus, including under late / out-of-order claim arrival.
 """
@@ -102,9 +102,7 @@ class TestServingDeltaPath:
             TypeRouted(),
             mixed,
             config=CONFIG,
-            service_config=ServiceConfig(
-                refit="incremental", max_wait_ms=1.0
-            ),
+            service_config=ServiceConfig(max_wait_ms=1.0),
         )
         service.start()
         try:
@@ -142,9 +140,7 @@ class TestServingDeltaPath:
             TypeRouted(),
             base,
             config=CONFIG,
-            service_config=ServiceConfig(
-                refit="incremental", max_wait_ms=1.0
-            ),
+            service_config=ServiceConfig(max_wait_ms=1.0),
         )
         service.start()
         try:
@@ -174,9 +170,7 @@ class TestDurability:
             mixed,
             config=CONFIG,
             store=store_dir,
-            service_config=ServiceConfig(
-                refit="incremental", max_wait_ms=1.0
-            ),
+            service_config=ServiceConfig(max_wait_ms=1.0),
         )
         service.start()
         applied: list[Claim] = []

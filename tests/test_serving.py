@@ -74,11 +74,6 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             TruthService(
                 MajorityVote(), dataset,
-                service_config=ServiceConfig(refit="eventually"),
-            )
-        with pytest.raises(ValueError):
-            TruthService(
-                MajorityVote(), dataset,
                 service_config=ServiceConfig(max_batch_size=0),
             )
         with pytest.raises(ValueError):
@@ -268,17 +263,19 @@ class TestBackpressure:
 
 
 class TestRefitModes:
+    """Every batch takes the delta path; staleness triggers a full fit."""
+
     def test_incremental_mode_publishes_exact_snapshots(self, dataset):
         with TruthService(
             MajorityVote(), dataset,
-            service_config=ServiceConfig(refit="incremental", max_wait_ms=1.0),
+            service_config=ServiceConfig(max_wait_ms=1.0),
         ) as service:
             claim = fresh_claims(dataset, "inc", 1)[0]
             service.ingest([claim], wait=True, timeout=60)
             snapshot = service.snapshot()
             assert snapshot.exact
             assert snapshot.version == 2
-            assert service.stats["refits_incremental"] == 1
+            assert service.stats["engine"]["delta_updates"] == 1
             assert service.query(claim.object, claim.attribute).value == (
                 claim.value
             )
@@ -300,12 +297,19 @@ class TestRefitModes:
             )
 
     def test_full_mode_counts_refits(self, dataset):
+        # A batch past ``repartition_fraction`` of the corpus is stale:
+        # update() falls back to a full fit, counted next to the one
+        # start() ran.
         with TruthService(
             MajorityVote(), dataset,
-            service_config=ServiceConfig(max_wait_ms=1.0),
+            service_config=ServiceConfig(
+                max_wait_ms=1.0, repartition_fraction=0.01
+            ),
         ) as service:
-            service.ingest(fresh_claims(dataset, "f", 1), wait=True)
-            assert service.stats["refits_full"] == 1
+            count = dataset.n_claims // 50
+            service.ingest(fresh_claims(dataset, "f", count), wait=True)
+            assert service.stats["engine"]["full_fits"] == 2
+            assert service.stats["engine"]["delta_updates"] == 0
             assert service.snapshot().exact
 
 

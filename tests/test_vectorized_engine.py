@@ -14,6 +14,10 @@ documented tolerance — is pinned by the float32 tests below.
 
 from __future__ import annotations
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -132,6 +136,37 @@ def test_shared_engine_cached_per_dataset_and_dtype():
     assert c.full_index.dtype == np.float32
     other = load("DS2", seed=1, scale=0.05)
     assert ClaimIndexEngine.shared(other) is not a
+
+
+def test_shared_engines_are_freed_with_their_dataset():
+    """An indexed dataset, and any extension of it, stays collectable."""
+    from repro.core.incremental import extend_dataset
+    from repro.data import Claim
+
+    dataset = load("DS2", seed=0, scale=0.05)
+    engine = ClaimIndexEngine.shared(dataset)
+    assert engine.full_index.n_claims == dataset.n_claims
+    claim = Claim(dataset.sources[0], "new-object", dataset.attributes[0], "v")
+    extended = extend_dataset(dataset, [claim])
+    child = engine.extended(extended, [claim])
+    assert ClaimIndexEngine.shared(extended) is child
+    refs = [weakref.ref(dataset), weakref.ref(extended)]
+    del dataset, engine, extended, child
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_pickled_index_drops_the_engine_cache():
+    """Engines are process-local; a pickled view compiles its own."""
+    dataset = load("DS2", seed=0, scale=0.05)
+    index = ClaimIndexEngine.shared(dataset).block_index(
+        dataset.attributes[:2]
+    )
+    copy = pickle.loads(pickle.dumps(index))
+    assert np.array_equal(copy.claim_slot, index.claim_slot)
+    assert ClaimIndexEngine.shared(copy.dataset) is not (
+        ClaimIndexEngine.shared(dataset)
+    )
 
 
 def test_index_rejects_unsupported_dtype():
