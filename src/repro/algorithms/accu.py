@@ -25,8 +25,6 @@ rather than a Python double loop over source pairs.
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
-
 import numpy as np
 from scipy import sparse
 
@@ -242,8 +240,8 @@ def discounted_votes(
     Dispatches to the vectorized segment-reduction kernel; the original
     per-slot loop is kept as the reference implementation (selected by
     :func:`repro.algorithms.kernels.reference_kernels`) and the two are
-    bit-identical — the kernel evaluates the same products and the same
-    per-slot dot in the same order.
+    bit-identical — the kernel evaluates the same products in the same
+    order, and the same BLAS dot per slot, batched by provider count.
     """
     if kernels.reference_enabled():
         return _discounted_votes_reference(
@@ -287,57 +285,6 @@ def _discounted_votes_reference(
     return totals
 
 
-#: Per-index cache of the iteration-independent pair structure used by
-#: the vectorized kernel.  Weakly keyed: dropping the index frees it.
-_PAIR_STRUCTURES: "WeakKeyDictionary[DatasetIndex, tuple]" = WeakKeyDictionary()
-
-
-def _pair_structure(index: DatasetIndex) -> tuple:
-    """Lower-triangle provider-pair layout of every multi-provider slot.
-
-    In slot-sorted claim order, provider ``i`` of a slot must be
-    discounted against providers ``j < i`` (in decreasing-accuracy
-    order).  Which (i, j) pairs exist depends only on the slot sizes, so
-    the flattened pair positions are computed once per index:
-
-    ``pos_i`` / ``pos_j`` index into the slot-sorted claim sequence;
-    ``row_starts`` delimits each provider's run of pairs so the
-    independence products are one ``np.multiply.reduceat``; ``row_pos``
-    maps each run back to its provider position.  Singleton slots are
-    kept separately — their vote is just the provider's weight.
-    """
-    cached = _PAIR_STRUCTURES.get(index)
-    if cached is not None:
-        return cached
-    starts = index.slot_claim_starts
-    sizes = np.diff(starts)
-    local = np.arange(index.n_claims) - np.repeat(starts[:-1], sizes)
-    row_pos = np.flatnonzero(local >= 1)
-    row_len = local[row_pos]
-    row_starts = np.concatenate(([0], np.cumsum(row_len))).astype(np.int64)
-    pos_i = np.repeat(row_pos, row_len)
-    slot_start_of_row = np.repeat(starts[:-1], sizes)[row_pos]
-    pos_j = (
-        np.arange(len(pos_i), dtype=np.int64)
-        - np.repeat(row_starts[:-1], row_len)
-        + np.repeat(slot_start_of_row, row_len)
-    )
-    single = sizes == 1
-    single_slots = np.flatnonzero(single)
-    single_pos = starts[:-1][single]
-    multi_slots = np.flatnonzero(~single)
-    multi = list(
-        zip(
-            multi_slots.tolist(),
-            starts[:-1][~single].tolist(),
-            starts[1:][~single].tolist(),
-        )
-    )
-    cached = (row_pos, row_starts, pos_i, pos_j, single_slots, single_pos, multi)
-    _PAIR_STRUCTURES[index] = cached
-    return cached
-
-
 def _discounted_votes_vectorized(
     index: DatasetIndex,
     dependence: np.ndarray,
@@ -361,21 +308,29 @@ def _discounted_votes_vectorized(
     perm = np.argsort(key, kind="stable")
     src = index.claim_source[slot_sorted][perm]
 
-    row_pos, row_starts, pos_i, pos_j, single_slots, single_pos, multi = (
-        _pair_structure(index)
-    )
+    layout = index.slot_pair_layout
     independence = np.ones(index.n_claims, dtype=float)
-    if len(pos_i):
-        factors = 1.0 - copy_rate * dependence[src[pos_i], src[pos_j]]
+    if len(layout.pos_i):
+        # The discount of every source pair, gathered through flat ids:
+        # elementwise, so the same values as discounting each pair.
+        discount = (1.0 - copy_rate * dependence).ravel()
+        factors = discount[
+            src[layout.pos_i] * index.n_sources + src[layout.pos_j]
+        ]
         # One multiply.reduceat evaluates every provider's running
         # product prod(factors[i, :i]) exactly as np.prod would.
-        independence[row_pos] = np.multiply.reduceat(factors, row_starts[:-1])
-    weights = vote_weight[src]
-    totals[single_slots] = weights[single_pos]
-    # Per-slot np.dot keeps the reference BLAS summation order, so the
-    # totals are bitwise equal to the loop implementation.
-    for slot_id, start, stop in multi:
-        totals[slot_id] = np.dot(independence[start:stop], weights[start:stop])
+        independence[layout.row_pos] = np.multiply.reduceat(
+            factors, layout.row_starts[:-1]
+        )
+    weights = vote_weight[src].astype(float, copy=False)
+    totals[layout.single_slots] = weights[layout.single_pos]
+    # One stacked (b, 1, n) @ (b, n, 1) matmul per provider count: each
+    # row-by-column product runs the same BLAS dot as the reference's
+    # per-slot np.dot, so the totals stay bitwise equal to the loop.
+    for slots, gather in layout.groups:
+        totals[slots] = np.matmul(
+            independence[gather][:, None, :], weights[gather][:, :, None]
+        )[:, 0, 0]
     return totals
 
 

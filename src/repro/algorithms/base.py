@@ -141,7 +141,7 @@ class TruthDiscoveryAlgorithm(ABC):
         }
         trust = {
             source: float(state.source_trust[s_id])
-            for s_id, source in enumerate(index.dataset.sources)
+            for s_id, source in enumerate(index.sources)
         }
         return TruthDiscoveryResult(
             algorithm=self.name,

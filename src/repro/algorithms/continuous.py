@@ -63,7 +63,7 @@ class _ContinuousEstimator(TruthDiscoveryAlgorithm):
         }
         source_trust = {
             source: float(trust[s_id])
-            for s_id, source in enumerate(index.dataset.sources)
+            for s_id, source in enumerate(index.sources)
         }
         return TruthDiscoveryResult(
             algorithm=self.name,

@@ -143,8 +143,13 @@ class SlotSimilarity:
     _SHARED_LOCK = threading.Lock()
 
     def __init__(self, index: DatasetIndex) -> None:
-        self._index = index
-        self._matrix = lru_cache(maxsize=None)(self._compute_matrix)
+        # Only the slot layout, never the index itself: instances are
+        # values of the weakly keyed ``_SHARED`` map, and a value that
+        # held its key would keep the index (and its dataset) alive.
+        self._fact_slot_start = index.fact_slot_start
+        self._slot_values = index.slot_values
+        self._n_facts = index.n_facts
+        self._matrices: dict[int, np.ndarray] = {}
         self._active: list[tuple[int, int, np.ndarray]] | None = None
         self._groups: list[tuple[np.ndarray, np.ndarray]] | None = None
 
@@ -164,9 +169,9 @@ class SlotSimilarity:
             return instance
 
     def _compute_matrix(self, fact_id: int) -> np.ndarray:
-        start = self._index.fact_slot_start[fact_id]
-        stop = self._index.fact_slot_start[fact_id + 1]
-        values = self._index.slot_values[start:stop]
+        start = self._fact_slot_start[fact_id]
+        stop = self._fact_slot_start[fact_id + 1]
+        values = self._slot_values[start:stop]
         n = len(values)
         matrix = np.zeros((n, n), dtype=float)
         for i in range(n):
@@ -178,7 +183,10 @@ class SlotSimilarity:
 
     def matrix(self, fact_id: int) -> np.ndarray:
         """Similarity matrix of ``fact_id``'s slots (zero diagonal)."""
-        return self._matrix(fact_id)
+        matrix = self._matrices.get(fact_id)
+        if matrix is None:
+            matrix = self._matrices[fact_id] = self._compute_matrix(fact_id)
+        return matrix
 
     def weighted_support(
         self, slot_score: np.ndarray, weight: float
@@ -199,10 +207,10 @@ class SlotSimilarity:
         float32 scores).  The original every-fact loop remains available
         as the reference kernel.
         """
-        starts = self._index.fact_slot_start
+        starts = self._fact_slot_start
         if kernels.reference_enabled():
             adjusted = slot_score.astype(float).copy()
-            for fact_id in range(self._index.n_facts):
+            for fact_id in range(self._n_facts):
                 start, stop = starts[fact_id], starts[fact_id + 1]
                 if stop - start < 2:
                     continue
@@ -227,9 +235,9 @@ class SlotSimilarity:
     def _active_facts(self) -> list[tuple[int, int, np.ndarray]]:
         """(start, stop, matrix) of every fact with nonzero similarity."""
         if self._active is None:
-            starts = self._index.fact_slot_start
+            starts = self._fact_slot_start
             active = []
-            for fact_id in range(self._index.n_facts):
+            for fact_id in range(self._n_facts):
                 start, stop = int(starts[fact_id]), int(starts[fact_id + 1])
                 if stop - start < 2:
                     continue

@@ -36,6 +36,7 @@ dataset object is alive, and the structure is freed with it.
 from __future__ import annotations
 
 import threading
+import weakref
 from functools import cached_property
 from itertools import compress
 from typing import Hashable, Iterable, Sequence
@@ -43,14 +44,13 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.data.index import DatasetIndex, _validate_dtype
+from repro.data.index import (
+    _KEY_SHIFT,
+    DatasetIndex,
+    _validate_dtype,
+    compile_claims,
+)
 from repro.data.types import ATTRIBUTE_TYPES, Claim, DataError, Fact
-
-#: Fact keys pack (object rank, attribute rank) into one int64 as
-#: ``obj_rank << _KEY_SHIFT | attr_rank``.  Ranks only ever append, so a
-#: fact's key is stable across dataset extensions, and keys sort in the
-#: canonical fact order (object-major, then attribute order).
-_KEY_SHIFT = 32
 
 #: Guards every dataset's engine cache (``Dataset._claim_engines``).
 _ENGINES_LOCK = threading.Lock()
@@ -65,7 +65,10 @@ class ClaimIndexEngine:
     """Per-dataset factory of shared full and per-block claim indexes."""
 
     def __init__(self, dataset: Dataset, dtype=np.float64) -> None:
-        self._dataset = dataset
+        # Weak: the engine lives on the dataset (``shared``), and a strong
+        # reference back would form a cycle that only the cyclic
+        # collector frees, never once ``gc.freeze()`` has frozen it.
+        self._dataset = weakref.ref(dataset)
         self._dtype = _validate_dtype(dtype)
         self._lock = threading.Lock()
         self._blocks: dict[tuple, DatasetIndex] = {}
@@ -92,8 +95,14 @@ class ClaimIndexEngine:
 
     @property
     def dataset(self) -> Dataset:
-        """The dataset this engine compiles."""
-        return self._dataset
+        """The dataset this engine compiles.
+
+        Raises :class:`ReferenceError` once that dataset has been freed.
+        """
+        dataset = self._dataset()
+        if dataset is None:
+            raise ReferenceError("the dataset of this engine was freed")
+        return dataset
 
     @property
     def dtype(self) -> np.dtype:
@@ -103,7 +112,10 @@ class ClaimIndexEngine:
     @cached_property
     def full_index(self) -> DatasetIndex:
         """The compiled index of the whole dataset."""
-        return DatasetIndex(self._dataset, dtype=self._dtype)
+        dataset = self.dataset
+        return DatasetIndex._from_parts(
+            dataset, dtype=self._dtype, **compile_claims(dataset)
+        )
 
     @cached_property
     def _fact_attribute(self) -> np.ndarray:
@@ -120,12 +132,12 @@ class ClaimIndexEngine:
         metrics use these to split compiled structures without touching
         identifier dicts.
         """
-        attrs = self._dataset.attributes
+        attrs = self.dataset.attributes
         masks = {
             kind: np.zeros(len(attrs), dtype=bool) for kind in ATTRIBUTE_TYPES
         }
         for rank, attribute in enumerate(attrs):
-            masks[self._dataset.attribute_type(attribute)][rank] = True
+            masks[self.dataset.attribute_type(attribute)][rank] = True
         return masks
 
     def fact_type_mask(self, kind: str) -> np.ndarray:
@@ -141,15 +153,15 @@ class ClaimIndexEngine:
 
     @cached_property
     def _src_rank(self) -> dict:
-        return {s: i for i, s in enumerate(self._dataset.sources)}
+        return {s: i for i, s in enumerate(self.dataset.sources)}
 
     @cached_property
     def _obj_rank(self) -> dict:
-        return {o: i for i, o in enumerate(self._dataset.objects)}
+        return {o: i for i, o in enumerate(self.dataset.objects)}
 
     @cached_property
     def _attr_rank(self) -> dict:
-        return {a: i for i, a in enumerate(self._dataset.attributes)}
+        return {a: i for i, a in enumerate(self.dataset.attributes)}
 
     @cached_property
     def _fact_keys(self) -> np.ndarray:
@@ -235,7 +247,7 @@ class ClaimIndexEngine:
         Raises :class:`ValueError` when ``dataset`` is not an append-only
         extension (callers fall back to a cold compile).
         """
-        old_ds = self._dataset
+        old_ds = self.dataset
         if (
             dataset.sources[: len(old_ds.sources)] != old_ds.sources
             or dataset.objects[: len(old_ds.objects)] != old_ds.objects
@@ -466,14 +478,14 @@ class ClaimIndexEngine:
         return view
 
     def _slice_block(self, block: tuple) -> DatasetIndex:
-        rank = {a: i for i, a in enumerate(self._dataset.attributes)}
+        rank = {a: i for i, a in enumerate(self.dataset.attributes)}
         unknown = [a for a in block if a not in rank]
         if unknown:
             raise DataError(
                 f"unknown attributes in block: {sorted(map(str, unknown))}"
             )
         full = self.full_index
-        keep_attribute = np.zeros(len(self._dataset.attributes), dtype=bool)
+        keep_attribute = np.zeros(len(self.dataset.attributes), dtype=bool)
         keep_attribute[[rank[a] for a in block]] = True
 
         fact_keep = keep_attribute[self._fact_attribute]
@@ -500,7 +512,7 @@ class ClaimIndexEngine:
         ).astype(np.int64)
 
         return DatasetIndex._from_parts(
-            dataset=self._dataset,
+            dataset=self.dataset,
             facts=facts,
             slot_values=slot_values,
             slot_fact=slot_fact,

@@ -21,7 +21,9 @@ winner selection).
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +91,118 @@ def _validate_dtype(dtype) -> np.dtype:
     return resolved
 
 
+#: Fact keys pack (object rank, attribute rank) into one int64 as
+#: ``obj_rank << _KEY_SHIFT | attr_rank``.  Ranks only ever append, so a
+#: fact's key is stable across dataset extensions, and keys sort in the
+#: canonical fact order (object-major, then attribute order).
+_KEY_SHIFT = 32
+
+
+def compile_claims(dataset: Dataset) -> dict:
+    """Compile ``dataset``'s claims into the flat arrays of an index.
+
+    Passes over the raw claim mapping give every claim its source
+    rank and a dense ``(fact, value)`` id; value equality is Python's,
+    so ``1``, ``1.0`` and ``True`` claimed for the same fact share an
+    id, while the same values in different facts do not.  Claims are
+    then sorted by (fact, source rank), and the slots of every fact are
+    numbered by their first claim in that order.  Each slot's value is
+    the one its first claim carries, not an arbitrary member of its
+    equality class.
+
+    Returns the index fields by name: ``facts``, ``slot_values``,
+    ``slot_fact``, ``fact_slot_start``, ``claim_source``, ``claim_fact``,
+    ``claim_slot`` and ``true_slot``.
+    """
+    claims = dataset.claims
+    n_claims = len(claims)
+    src_rank = {s: i for i, s in enumerate(dataset.sources)}
+    obj_rank = {o: i for i, o in enumerate(dataset.objects)}
+    attr_rank = {a: i for i, a in enumerate(dataset.attributes)}
+    pair_ids: dict = {}
+    claim_pair = np.fromiter(
+        (
+            pair_ids.setdefault((o, a, v), len(pair_ids))
+            for (_, o, a), v in claims.items()
+        ),
+        dtype=np.int64,
+        count=n_claims,
+    )
+    source = np.fromiter(
+        (src_rank[s] for s, _, _ in claims), dtype=np.int64, count=n_claims
+    )
+    pair_fact_key = np.fromiter(
+        ((obj_rank[o] << _KEY_SHIFT) | attr_rank[a] for o, a, _ in pair_ids),
+        dtype=np.int64,
+        count=len(pair_ids),
+    )
+    claim_fact_key = pair_fact_key[claim_pair]
+    order = np.lexsort((source, claim_fact_key))
+    claim_fact = np.unique(claim_fact_key[order], return_inverse=True)[1]
+    sorted_pairs = claim_pair[order]
+    # Pair ids are dense, so ``first[p]`` is pair p's first position in
+    # (fact, source) order; numbering pairs by it gives the slot ids.
+    first = np.unique(sorted_pairs, return_index=True)[1]
+    slot_order = np.argsort(first)
+    slot_of_pair = np.empty(len(first), dtype=np.int64)
+    slot_of_pair[slot_order] = np.arange(len(first), dtype=np.int64)
+    slot_first = first[slot_order]
+    slot_fact = claim_fact[slot_first].astype(np.int64)
+    n_facts = len(dataset.facts)
+    fact_slot_start = np.searchsorted(
+        slot_fact, np.arange(n_facts + 1)
+    ).astype(np.int64)
+
+    values = list(claims.values())
+    true_slot = np.full(n_facts, -1, dtype=np.int64)
+    for (o, a), truth in dataset.truth.items():
+        pair = pair_ids.get((o, a, truth)) if truth is not None else None
+        if pair is not None:
+            slot = slot_of_pair[pair]
+            true_slot[slot_fact[slot]] = slot
+    return {
+        # The dataset's own Fact objects, in the same canonical order:
+        # lookups keyed by them then hit on identity, never on __eq__.
+        "facts": dataset.facts,
+        "slot_values": tuple(
+            values[i] for i in order[slot_first].tolist()
+        ),
+        "slot_fact": slot_fact,
+        "fact_slot_start": fact_slot_start,
+        "claim_source": source[order],
+        "claim_fact": claim_fact.astype(np.int64),
+        "claim_slot": slot_of_pair[sorted_pairs],
+        "true_slot": true_slot,
+    }
+
+
+class SlotPairLayout(NamedTuple):
+    """Lower-triangle provider pairs of every slot, for discounted votes.
+
+    Positions index the slot-sorted claim sequence
+    (``DatasetIndex.slot_claim_starts``).  Provider ``i`` of a slot is
+    discounted against providers ``j < i`` of the same slot:
+
+    * ``pos_i`` / ``pos_j`` hold every such (i, j) pair, flattened;
+    * ``row_starts`` delimits each provider's run of pairs (plus a
+      sentinel), so per-provider products are one ``multiply.reduceat``;
+      ``row_pos`` is the provider position of each run;
+    * ``single_slots`` / ``single_pos``: one-provider slots and their
+      provider's position;
+    * ``groups``: one ``(slots, gather)`` pair per provider count
+      ``n >= 2``, ascending — ``gather`` is the ``(b, n)`` position
+      array of the group's ``b`` slots.
+    """
+
+    row_pos: np.ndarray
+    row_starts: np.ndarray
+    pos_i: np.ndarray
+    pos_j: np.ndarray
+    single_slots: np.ndarray
+    single_pos: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
 class DatasetIndex:
     """Flat integer-array view of a dataset for vectorised algorithms.
 
@@ -96,98 +210,72 @@ class DatasetIndex:
     default ``float64`` keeps every output bit-identical to the original
     per-claim loops, while ``float32`` is an opt-in reduced-precision
     path for large datasets (see ``TDACConfig.dtype``).
+
+    An index compiled directly holds its dataset; one handed out by a
+    :class:`~repro.data.claim_engine.ClaimIndexEngine` holds it weakly,
+    because the engine lives on the dataset and a strong reference back
+    would keep every indexed corpus alive until the cyclic collector
+    runs.  Solving never needs the dataset: the source ids an algorithm
+    reports are in :attr:`sources`.
     """
 
     def __init__(self, dataset: Dataset, dtype=np.float64) -> None:
-        self._dataset = dataset
-        self.dtype = _validate_dtype(dtype)
-        facts = dataset.facts
-        self.facts: tuple[Fact, ...] = facts
-        self.n_sources = len(dataset.sources)
-        self.n_facts = len(facts)
-        self._source_id = {s: i for i, s in enumerate(dataset.sources)}
-
-        slot_values: list[Value] = []
-        slot_fact: list[int] = []
-        fact_slot_start = [0]
-        claim_source: list[int] = []
-        claim_fact: list[int] = []
-        claim_slot: list[int] = []
-        true_slot = np.full(self.n_facts, -1, dtype=np.int64)
-
-        by_fact = dataset.claims_by_fact
-        for f_id, fact in enumerate(facts):
-            claims = by_fact[fact]
-            local: dict[Value, int] = {}
-            for claim in claims:
-                slot = local.get(claim.value)
-                if slot is None:
-                    slot = len(slot_values)
-                    local[claim.value] = slot
-                    slot_values.append(claim.value)
-                    slot_fact.append(f_id)
-                claim_source.append(self._source_id[claim.source])
-                claim_fact.append(f_id)
-                claim_slot.append(slot)
-            fact_slot_start.append(len(slot_values))
-            truth = dataset.true_value(fact)
-            if truth is not None and truth in local:
-                true_slot[f_id] = local[truth]
-
-        self.slot_values: tuple[Value, ...] = tuple(slot_values)
-        self.slot_fact = np.asarray(slot_fact, dtype=np.int64)
-        self.fact_slot_start = np.asarray(fact_slot_start, dtype=np.int64)
-        self.claim_source = np.asarray(claim_source, dtype=np.int64)
-        self.claim_fact = np.asarray(claim_fact, dtype=np.int64)
-        self.claim_slot = np.asarray(claim_slot, dtype=np.int64)
-        self.true_slot = true_slot
-        self.n_slots = len(slot_values)
-        self.n_claims = len(claim_source)
+        self._assign(dataset, dataset, dtype, compile_claims(dataset))
 
     @classmethod
     def _from_parts(
-        cls,
-        dataset: Dataset,
-        facts: tuple[Fact, ...],
-        slot_values: tuple[Value, ...],
-        slot_fact: np.ndarray,
-        fact_slot_start: np.ndarray,
-        claim_source: np.ndarray,
-        claim_fact: np.ndarray,
-        claim_slot: np.ndarray,
-        true_slot: np.ndarray,
-        dtype=np.float64,
+        cls, dataset: Dataset, dtype=np.float64, **parts
     ) -> "DatasetIndex":
-        """Assemble an index directly from compiled arrays.
+        """Assemble an engine-owned index from compiled arrays.
 
-        Used by :class:`~repro.data.claim_engine.ClaimIndexEngine` to
-        slice per-block views out of the full index without re-walking
-        the claim dictionaries.  The arrays must satisfy the same layout
-        invariants ``__init__`` produces (facts object-major, slots in
-        first-appearance order, claims fact-major and source-ordered).
+        Used by :class:`~repro.data.claim_engine.ClaimIndexEngine` for
+        its full index and to slice per-block views out of it.
+        ``parts`` are the fields :func:`compile_claims` returns, and
+        must satisfy the layout invariants it produces (facts
+        object-major, slots in first-appearance order, claims
+        fact-major and source-ordered).  The index refers to
+        ``dataset`` weakly.
         """
         index = object.__new__(cls)
-        index._dataset = dataset
-        index.dtype = _validate_dtype(dtype)
-        index.facts = facts
-        index.n_sources = len(dataset.sources)
-        index.n_facts = len(facts)
-        index._source_id = {s: i for i, s in enumerate(dataset.sources)}
-        index.slot_values = slot_values
-        index.slot_fact = slot_fact
-        index.fact_slot_start = fact_slot_start
-        index.claim_source = claim_source
-        index.claim_fact = claim_fact
-        index.claim_slot = claim_slot
-        index.true_slot = true_slot
-        index.n_slots = len(slot_values)
-        index.n_claims = len(claim_source)
+        index._assign(weakref.ref(dataset), dataset, dtype, parts)
         return index
+
+    def _assign(self, held, dataset: Dataset, dtype, parts: dict) -> None:
+        self._dataset = held
+        self.dtype = _validate_dtype(dtype)
+        self.sources = dataset.sources
+        self.n_sources = len(dataset.sources)
+        self.facts: tuple[Fact, ...] = parts["facts"]
+        self.slot_values: tuple[Value, ...] = parts["slot_values"]
+        self.slot_fact = parts["slot_fact"]
+        self.fact_slot_start = parts["fact_slot_start"]
+        self.claim_source = parts["claim_source"]
+        self.claim_fact = parts["claim_fact"]
+        self.claim_slot = parts["claim_slot"]
+        self.true_slot = parts["true_slot"]
+        self.n_facts = len(self.facts)
+        self.n_slots = len(self.slot_values)
+        self.n_claims = len(self.claim_source)
 
     @property
     def dataset(self) -> Dataset:
-        """The dataset this index was compiled from."""
-        return self._dataset
+        """The dataset this index was compiled from.
+
+        Raises :class:`ReferenceError` on an engine-owned index whose
+        dataset has been freed.
+        """
+        dataset = self._dataset
+        if isinstance(dataset, weakref.ref):
+            dataset = dataset()
+            if dataset is None:
+                raise ReferenceError("the dataset of this index was freed")
+        return dataset
+
+    def __getstate__(self) -> dict:
+        # A weak reference cannot be pickled; a copy holds its dataset.
+        state = dict(self.__dict__)
+        state["_dataset"] = self.dataset
+        return state
 
     @cached_property
     def claims_per_source(self) -> np.ndarray:
@@ -276,6 +364,43 @@ class DatasetIndex:
         return np.searchsorted(
             sorted_slots, np.arange(self.n_slots + 1)
         ).astype(np.int64)
+
+    @cached_property
+    def slot_pair_layout(self) -> SlotPairLayout:
+        """Provider-pair layout of every slot, in slot-sorted claim order.
+
+        Depends only on the slot sizes, so it is computed once per index
+        and reused by every iteration of every solve over it (see
+        :class:`SlotPairLayout`).
+        """
+        starts = self.slot_claim_starts
+        sizes = np.diff(starts)
+        first = starts[:-1]
+        local = np.arange(self.n_claims) - np.repeat(first, sizes)
+        row_pos = np.flatnonzero(local >= 1)
+        row_len = local[row_pos]
+        row_starts = np.concatenate(([0], np.cumsum(row_len))).astype(np.int64)
+        pos_i = np.repeat(row_pos, row_len)
+        slot_start_of_row = np.repeat(first, sizes)[row_pos]
+        pos_j = (
+            np.arange(len(pos_i), dtype=np.int64)
+            - np.repeat(row_starts[:-1], row_len)
+            + np.repeat(slot_start_of_row, row_len)
+        )
+        single = sizes == 1
+        groups = []
+        for size in np.unique(sizes[sizes > 1]).tolist():
+            slots = np.flatnonzero(sizes == size)
+            groups.append((slots, first[slots][:, None] + np.arange(size)))
+        return SlotPairLayout(
+            row_pos=row_pos,
+            row_starts=row_starts,
+            pos_i=pos_i,
+            pos_j=pos_j,
+            single_slots=np.flatnonzero(single),
+            single_pos=first[single],
+            groups=tuple(groups),
+        )
 
     @cached_property
     def _tie_breaker(self) -> np.ndarray:

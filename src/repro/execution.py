@@ -33,7 +33,11 @@ happens when a worker misbehaves:
   bit-identical to a clean sequential run;
 * with the fallback disabled, the failure surfaces as a
   :class:`TaskError` carrying the stage label, task index and attempt
-  count, so a crash anywhere in a pipeline is attributable.
+  count, so a crash anywhere in a pipeline is attributable;
+* a task the process backend cannot pickle raises :class:`TaskError`
+  at once: the failure is deterministic, so neither a retry nor an
+  inline rerun (which would silently run the stage sequentially)
+  is attempted.
 
 Deterministic fault-injection hooks (:class:`FailNth`,
 :class:`StallNth`, :class:`KillWorker`) let tests crash the Nth task of
@@ -44,6 +48,7 @@ exactly.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from concurrent.futures import (
     BrokenExecutor,
@@ -54,6 +59,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from multiprocessing import get_context
+from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Sequence, TypeVar
 
 from repro.observability.tracer import current_tracer
@@ -268,14 +274,46 @@ class KillWorker:
 def _call_task(
     fn: Callable[..., T],
     args: tuple,
+    injector: Callable[[int, int], None] | None,
     index: int,
     attempt: int,
-    injector: Callable[[int, int], None] | None,
 ) -> T:
     """Worker-side trampoline: run the injector hook, then the task."""
     if injector is not None:
         injector(index, attempt)
     return fn(*args)
+
+
+def _call_pickled(payload: bytes, index: int, attempt: int):
+    """Process-worker trampoline for a task pickled by :func:`_jobs`."""
+    fn, args, injector = ForkingPickler.loads(payload)
+    return _call_task(fn, args, injector, index, attempt)
+
+
+def _jobs(
+    fn: Callable[..., T],
+    tasks: Sequence[tuple],
+    backend: str,
+    injector: Callable[[int, int], None] | None,
+    name: str,
+) -> list[tuple]:
+    """The ``submit`` arguments of every task, minus index and attempt.
+
+    Process tasks are pickled here, once, so a task that cannot be
+    pickled fails as :class:`TaskError` before any worker starts; a
+    pool would only report it through the task's future, where it looks
+    like a worker failure and would be retried.
+    """
+    if backend != "processes":
+        return [(_call_task, fn, task, injector) for task in tasks]
+    jobs = []
+    for index, task in enumerate(tasks):
+        try:
+            payload = bytes(ForkingPickler.dumps((fn, task, injector)))
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise TaskError(name, index, 1) from exc
+        jobs.append((_call_pickled, payload))
+    return jobs
 
 
 def ordered_map(
@@ -303,20 +341,17 @@ def ordered_map(
     tracer = current_tracer()
     name = label if label is not None else getattr(fn, "__name__", "task")
     tracer.count(f"{name}.tasks", len(tasks))
+    jobs = _jobs(fn, tasks, backend, policy.fault_injector, name)
     workers = min(n_jobs, len(tasks))
     unresolved = object()
     results: list = [unresolved] * len(tasks)
     try:
         with make_executor(workers, backend) as pool:
-            futures = [
-                pool.submit(
-                    _call_task, fn, task, i, 0, policy.fault_injector
-                )
-                for i, task in enumerate(tasks)
-            ]
+            futures = [pool.submit(*job, i, 0) for i, job in enumerate(jobs)]
             for index, future in enumerate(futures):
                 results[index] = _gather(
-                    pool, fn, tasks[index], index, future, policy, tracer, name
+                    pool, fn, tasks[index], jobs[index], index, future,
+                    policy, tracer, name,
                 )
     except _PoolUnhealthy as fault:
         if not policy.sequential_fallback:
@@ -343,6 +378,7 @@ def _gather(
     pool: Executor,
     fn: Callable[..., T],
     task: tuple,
+    job: tuple,
     index: int,
     future: Future,
     policy: ExecutionPolicy,
@@ -371,9 +407,7 @@ def _gather(
             if delay > 0:
                 time.sleep(delay)
             try:
-                future = pool.submit(
-                    _call_task, fn, task, index, attempt, policy.fault_injector
-                )
+                future = pool.submit(*job, index, attempt)
             except RuntimeError as submit_exc:
                 # Pool shut down or broke between gather and resubmit.
                 raise _PoolUnhealthy(submit_exc) from submit_exc

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import Accu, AccuSim, CopyDetector, Depen
-from repro.algorithms.accu import discounted_votes
-from repro.data import DatasetBuilder, DatasetIndex, Fact
+from repro.algorithms.accu import (
+    _discounted_votes_reference,
+    _discounted_votes_vectorized,
+    discounted_votes,
+)
+from repro.data import Dataset, DatasetBuilder, DatasetIndex, Fact
 
 
 HONEST = ("h1", "h2", "h3", "h4", "h5")
@@ -149,3 +154,89 @@ class TestAlgorithms:
     def test_deterministic(self):
         ds = copier_dataset()
         assert Accu().discover(ds).predictions == Accu().discover(ds).predictions
+
+
+# ----------------------------------------------------------------------
+# Size-grouped discounted votes: bitwise equal to the per-slot loop
+# ----------------------------------------------------------------------
+
+
+def _vote_dataset(columns, n_sources):
+    """One fact per column; ``column[s]`` is source s's value, or -1."""
+    claims = {
+        (f"s{s}", "o", f"a{f}"): value
+        for f, column in enumerate(columns)
+        for s, value in enumerate(column)
+        if value >= 0
+    }
+    return Dataset(
+        [f"s{s}" for s in range(n_sources)],
+        ["o"],
+        [f"a{f}" for f in range(len(columns))],
+        claims,
+    )
+
+
+def _assert_grouped_votes_match(dataset, dtype, seed):
+    index = DatasetIndex(dataset, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    n = index.n_sources
+    dependence = rng.random((n, n))
+    np.fill_diagonal(dependence, 0.0)
+    # Few distinct accuracies: ties exercise the stable provider order.
+    accuracy = rng.choice([0.3, 0.55, 0.9], size=n).astype(dtype)
+    weight = (rng.random(n) * 3.0).astype(dtype)
+    args = (index, dependence, accuracy, 0.8, weight)
+    fast = _discounted_votes_vectorized(*args)
+    reference = _discounted_votes_reference(*args)
+    assert fast.dtype == reference.dtype
+    assert fast.tobytes() == reference.tobytes()
+
+
+class TestGroupedDiscountedVotes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_sources=st.integers(1, 12),
+        n_values=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        data=st.data(),
+    )
+    def test_matches_reference_loop(
+        self, n_sources, n_values, seed, dtype, data
+    ):
+        columns = data.draw(
+            st.lists(
+                st.lists(
+                    st.integers(-1, n_values - 1),
+                    min_size=n_sources,
+                    max_size=n_sources,
+                ),
+                max_size=5,
+            )
+        )
+        _assert_grouped_votes_match(
+            _vote_dataset(columns, n_sources), dtype, seed
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_slot_width_up_to_48_providers(self, dtype):
+        # Fact f gives its first f+1 sources one value: one slot of every
+        # width 1..48, many of them wider than 32 providers.
+        n_sources = 48
+        columns = [
+            [0 if s <= f else -1 for s in range(n_sources)]
+            for f in range(n_sources)
+        ]
+        for seed in range(3):
+            _assert_grouped_votes_match(
+                _vote_dataset(columns, n_sources), dtype, seed
+            )
+
+    def test_singleton_slots_only(self):
+        columns = [[0, 1, 2], [2, 1, 0]]
+        _assert_grouped_votes_match(_vote_dataset(columns, 3), np.float64, 0)
+
+    def test_empty_index(self):
+        _assert_grouped_votes_match(_vote_dataset([], 4), np.float64, 0)
+        _assert_grouped_votes_match(_vote_dataset([], 0), np.float64, 0)

@@ -7,6 +7,8 @@ results **bit-identical** to a clean sequential run, or fails loudly
 with stage attribution when the fallback is disabled.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,10 @@ from repro.observability import SpanTracer, activate
 def _square(x):
     """Module-level so the process backend can pickle it."""
     return x * x
+
+
+def _locked(lock):
+    return lock.locked()
 
 
 TASKS = [(i,) for i in range(8)]
@@ -152,6 +158,28 @@ class TestPoolFailure:
             _square, TASKS, n_jobs=2, backend="processes", policy=policy
         )
         assert got == CLEAN
+
+
+class TestUnpicklableTask:
+    def test_process_backend_raises_without_retry(self):
+        """A task that cannot be pickled fails the same way every time:
+        no retry, no silent inline rerun, and no worker is started."""
+        tasks = TASKS[:3] + [(threading.Lock(),)] + TASKS[4:]
+        tracer = SpanTracer()
+        with activate(tracer), pytest.raises(TaskError) as raised:
+            ordered_map(
+                _square, tasks, n_jobs=2, backend="processes", label="stage"
+            )
+        assert raised.value.label == "stage"
+        assert raised.value.index == 3
+        assert isinstance(raised.value.__cause__, TypeError)
+        assert "stage.task_retries" not in tracer.counters
+        assert "stage.task_fallbacks" not in tracer.counters
+
+    def test_thread_backend_needs_no_pickling(self):
+        tasks = [(threading.Lock(),)] * 2
+        got = ordered_map(_locked, tasks, n_jobs=2)
+        assert got == [False, False]
 
 
 class TestTimeouts:

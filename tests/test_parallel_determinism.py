@@ -21,6 +21,7 @@ from repro.clustering import (
 from repro.clustering.kmeans import KMeans
 from repro.core import TDAC, TDACConfig
 from repro.datasets import load
+from repro.observability import SpanTracer, activate
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +53,19 @@ class TestTDACParallelDeterminism:
     @pytest.mark.slow
     def test_process_backend_matches_sequential(self, dataset):
         sequential = TDAC(Accu(), config=TDACConfig(seed=0)).run(dataset)
-        parallel = TDAC(
-            Accu(), config=TDACConfig(seed=0, n_jobs=2, backend="processes")
-        ).run(dataset)
+        tracer = SpanTracer()
+        with activate(tracer):
+            parallel = TDAC(
+                Accu(),
+                config=TDACConfig(seed=0, n_jobs=2, backend="processes"),
+            ).run(dataset)
         _assert_runs_identical(sequential, parallel)
+        # Identical results could also come from a silent inline rerun;
+        # the workers must really have run every task.
+        for stage in ("k_sweep", "block_runs"):
+            assert tracer.counters[f"{stage}.tasks"] > 0
+            assert tracer.counters.get(f"{stage}.task_failures", 0) == 0
+            assert tracer.counters.get(f"{stage}.task_fallbacks", 0) == 0
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):

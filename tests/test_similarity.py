@@ -1,10 +1,14 @@
 """Unit and property tests for value similarity kernels."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.algorithms import (
+    AccuSim,
     SlotSimilarity,
     levenshtein_distance,
     numeric_similarity,
@@ -12,6 +16,7 @@ from repro.algorithms import (
     value_similarity,
 )
 from repro.data import DatasetBuilder, DatasetIndex
+from repro.datasets import load
 
 
 class TestLevenshtein:
@@ -127,3 +132,15 @@ class TestSlotSimilarity:
         scores = np.array([5.0])
         adjusted = SlotSimilarity(index).weighted_support(scores, 0.9)
         assert np.allclose(adjusted, scores)
+
+    def test_shared_instance_frees_its_index_and_dataset(self):
+        """The shared map is weakly keyed by index; its values must not
+        hold the key, or every index AccuSim solves over would leak."""
+        dataset = load("DS2", seed=0, scale=0.05)
+        index = DatasetIndex(dataset)
+        AccuSim().discover(index)
+        assert index in SlotSimilarity._SHARED
+        refs = [weakref.ref(dataset), weakref.ref(index)]
+        del dataset, index
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]

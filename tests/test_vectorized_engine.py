@@ -156,6 +156,36 @@ def test_shared_engines_are_freed_with_their_dataset():
     assert [ref() for ref in refs] == [None, None]
 
 
+@pytest.mark.parametrize("algorithm_cls", [Accu, AccuSim, MajorityVote])
+def test_dataset_freed_by_reference_counting_after_a_run(algorithm_cls):
+    """No reference cycle holds an indexed corpus: it dies on ``del``
+    even with the cyclic collector off, as under ``gc.freeze()``."""
+    dataset = load("DS2", seed=0, scale=0.05)
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = TDAC(algorithm_cls(), config=TDACConfig(seed=0)).run(dataset)
+        index = ClaimIndexEngine.shared(dataset).full_index
+        refs = [weakref.ref(dataset), weakref.ref(index)]
+        del outcome, index, dataset
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_engine_index_outlives_its_dataset_for_solving():
+    """An engine-owned index refers to its dataset weakly, but solving
+    needs only the index."""
+    dataset = load("DS2", seed=0, scale=0.05)
+    expected = Accu().discover(dataset)
+    index = ClaimIndexEngine.shared(dataset).block_index(dataset.attributes)
+    del dataset
+    gc.collect()
+    with pytest.raises(ReferenceError):
+        index.dataset
+    _assert_results_equal(Accu().discover(index), expected, "freed dataset")
+
+
 def test_pickled_index_drops_the_engine_cache():
     """Engines are process-local; a pickled view compiles its own."""
     dataset = load("DS2", seed=0, scale=0.05)
